@@ -95,19 +95,14 @@ Result<ApproxAnswer> BlinkDB::Query(std::string_view sql, ProgressCallback progr
   if (!tables.ok()) {
     return tables.status();
   }
-  // A live table (pinned ingest runs) executes as a leveled union plan over
-  // the level set pinned here — appends landing after this point are
-  // invisible to this query. `pinned` owns the snapshot keeping the runs
-  // alive across the call.
+  // A live table (pinned ingest runs) executes over the level set pinned
+  // here — appends landing after this point are invisible to this query.
+  // `pinned` owns the snapshot keeping the runs alive across the call.
   const auto pinned = PinLevels(stmt->table);
-  if (pinned.has_value()) {
-    return runtime_.ExecuteLeveled(
-        *stmt, tables->fact->name, tables->fact->table, tables->fact->scale_factor,
-        pinned->levels, tables->dim != nullptr ? &tables->dim->table : nullptr,
-        std::move(progress), cancel);
-  }
+  const std::vector<LevelScan> no_levels;
   return runtime_.Execute(*stmt, tables->fact->name, tables->fact->table,
                           tables->fact->scale_factor,
+                          pinned.has_value() ? pinned->levels : no_levels,
                           tables->dim != nullptr ? &tables->dim->table : nullptr,
                           std::move(progress), cancel);
 }

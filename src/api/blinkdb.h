@@ -126,9 +126,10 @@ class BlinkDB {
   const LeveledStore* Levels(const std::string& table_name) const;
 
   // A pinned level set, ready to execute against: the snapshot that keeps
-  // the runs alive, the LevelScan views QueryRuntime::ExecuteLeveled scans,
-  // the snapshot fingerprint (cache-key suffix), and the table generation
-  // observed at pin time. Keep it alive across the Execute call.
+  // the runs alive, the LevelScan views QueryRuntime::Execute scans as
+  // `levels`, the snapshot fingerprint (part of the answer-cache key), and
+  // the table generation observed at pin time. Keep it alive across the
+  // Execute call.
   struct PinnedLevels {
     LeveledStore::Snapshot snapshot;
     std::vector<LevelScan> levels;

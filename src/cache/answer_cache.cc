@@ -113,7 +113,8 @@ size_t AnswerCache::size() const {
 
 std::string AnswerCacheKey(const SelectStatement& stmt, uint64_t table_generation,
                            uint32_t morsel_rows, bool compressed_scan,
-                           bool filter_encoded_views) {
+                           bool filter_encoded_views,
+                           std::string_view snapshot_fingerprint) {
   std::string key;
   key.reserve(128);
   key += "t=";
@@ -166,6 +167,10 @@ std::string AnswerCacheKey(const SelectStatement& stmt, uint64_t table_generatio
   key += stmt.where.has_value() ? stmt.where->CanonicalString() : "";
   if (stmt.report_error_columns) {
     key += "|e=1";
+  }
+  if (!snapshot_fingerprint.empty()) {
+    key += '|';
+    key += snapshot_fingerprint;
   }
   return key;
 }

@@ -31,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -146,10 +147,13 @@ class AnswerCache {
 // EXCLUDED: the error bound and confidence — error-bounded streamed scans
 // over a family always consume its largest resolution in prefix order, so
 // one snapshot serves every bound, and confidence only parameterizes error
-// rendering (never the estimates themselves).
+// rendering (never the estimates themselves). A live table's key ends with
+// its pinned snapshot fingerprint (`snapshot_fingerprint`, empty for a flat
+// table), so two different level sets never share an entry.
 std::string AnswerCacheKey(const SelectStatement& stmt, uint64_t table_generation,
                            uint32_t morsel_rows, bool compressed_scan,
-                           bool filter_encoded_views);
+                           bool filter_encoded_views,
+                           std::string_view snapshot_fingerprint = {});
 
 }  // namespace blink
 

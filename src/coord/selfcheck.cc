@@ -82,7 +82,7 @@ Result<QueryResult> RunShardedReference(const std::string& sql,
       }
     };
     auto answer = runtime.Execute(shard_stmt, tables->fact->name, tables->fact->table,
-                                  tables->fact->scale_factor,
+                                  tables->fact->scale_factor, /*levels=*/{},
                                   tables->dim != nullptr ? &tables->dim->table : nullptr,
                                   std::move(freeze), &cancel, CacheContext{},
                                   batch_override);

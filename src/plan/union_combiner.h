@@ -1,10 +1,11 @@
 // Folds per-pipeline partial answers into the §4.1.2 union answer.
 //
 // The DNF rewrite splits a disjunctive query into conjunctive subqueries that
-// select (nearly) disjoint row sets, so per-group: COUNT and SUM add across
-// pipelines (values and variances both — the subqueries scan independent
-// samples), and AVG recombines through value·count with a helper COUNT(*)
-// column the planner appends to every subquery. The combination runs over
+// select disjoint row sets (the planner only rewrites provably disjoint
+// disjuncts; a live table's runs hold disjoint rows), so per-group: COUNT and
+// SUM add across pipelines (values and variances both — the subqueries scan
+// independent samples), and AVG recombines through value·count with a helper
+// COUNT(*) column the planner appends to every subquery. The combination runs over
 // finished per-pipeline estimates, in pipeline order, so the combined answer
 // is a pure function of the per-pipeline snapshots — which is what lets the
 // plan driver evaluate the joint error bound on every round without touching

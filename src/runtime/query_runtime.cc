@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -18,6 +19,84 @@ std::string FamilyName(const SampleFamily& family) {
     return "uniform";
   }
   return "{" + Join(family.columns(), ",") + "}";
+}
+
+bool HasQuantile(const SelectStatement& stmt) {
+  for (const auto& item : stmt.items) {
+    if (item.is_aggregate && item.agg.func == AggFunc::kQuantile) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// What a conjunction's comparisons allow for one column: a numeric interval,
+// or one string value. `!=` and string ranges are not tracked, which only
+// ever makes the allowed set look larger than it is.
+struct ColumnConstraint {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+  std::optional<std::string> equal_string;
+  bool conflicting_strings = false;
+
+  void Add(CompareOp op, const Value& literal) {
+    if (literal.is_string()) {
+      if (op == CompareOp::kEq) {
+        conflicting_strings = conflicting_strings ||
+                              (equal_string.has_value() && *equal_string != literal.AsString());
+        equal_string = literal.AsString();
+      }
+      return;
+    }
+    const double x = literal.AsNumeric();
+    if ((op == CompareOp::kEq || op == CompareOp::kGt || op == CompareOp::kGe) &&
+        (x > lo || (x == lo && op == CompareOp::kGt))) {
+      lo = x;
+      lo_open = op == CompareOp::kGt;
+    }
+    if ((op == CompareOp::kEq || op == CompareOp::kLt || op == CompareOp::kLe) &&
+        (x < hi || (x == hi && op == CompareOp::kLt))) {
+      hi = x;
+      hi_open = op == CompareOp::kLt;
+    }
+  }
+  bool Empty() const {
+    return conflicting_strings || lo > hi || (lo == hi && (lo_open || hi_open));
+  }
+};
+
+// Adds a conjunction's comparisons to per-column constraints; false when the
+// predicate is not a conjunction of comparisons.
+bool AddConjunction(const Predicate& pred,
+                    std::unordered_map<std::string, ColumnConstraint>& columns) {
+  switch (pred.kind) {
+    case Predicate::Kind::kCompare:
+      columns[AsciiToLower(pred.column)].Add(pred.op, pred.literal);
+      return true;
+    case Predicate::Kind::kAnd:
+      for (const Predicate& child : pred.children) {
+        if (!AddConjunction(child, columns)) {
+          return false;
+        }
+      }
+      return true;
+    case Predicate::Kind::kOr:
+      return false;
+  }
+  return false;
+}
+
+bool PairwiseDisjoint(const std::vector<Predicate>& disjuncts) {
+  for (size_t i = 0; i < disjuncts.size(); ++i) {
+    for (size_t j = i + 1; j < disjuncts.size(); ++j) {
+      if (!DisjunctsDisjoint(disjuncts[i], disjuncts[j])) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -100,6 +179,21 @@ void DedupDisjuncts(std::vector<Predicate>& disjuncts) {
     }
   }
   disjuncts = std::move(unique);
+}
+
+bool DisjunctsDisjoint(const Predicate& a, const Predicate& b) {
+  // Both conjunctions hold for a shared row only if, on every column, the
+  // comparisons of both can hold together.
+  std::unordered_map<std::string, ColumnConstraint> columns;
+  if (!AddConjunction(a, columns) || !AddConjunction(b, columns)) {
+    return false;
+  }
+  for (const auto& [name, constraint] : columns) {
+    if (constraint.Empty()) {
+      return true;
+    }
+  }
+  return false;
 }
 
 QueryWorkload QueryRuntime::WorkloadForConsumed(const Dataset& ds, double scale_factor,
@@ -594,7 +688,7 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
                                            double scale_factor,
                                            const ProgressCallback& progress,
                                            const std::atomic<bool>* cancel,
-                                           CacheRequest* cache_req,
+                                           const RunRequest& req,
                                            uint32_t batch_blocks_override) const {
   const double confidence = stmt.bounds.kind == QueryBounds::Kind::kError
                                 ? stmt.bounds.confidence
@@ -606,17 +700,20 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
     max_probe_latency = std::max(max_probe_latency, p.probe_latency);
   }
 
-  // What can be cached: streamed-capable answers over samples. Time bounds
-  // are excluded (their block budgets depend on the clock, not the data) and
-  // so are exact pipelines (prefixes of unshuffled tables don't resume).
-  bool cacheable = cache_req != nullptr && cache_req->cache != nullptr &&
-                   config_.streaming && stmt.bounds.kind != QueryBounds::Kind::kTime;
+  // What can be cached (Execute only hands over a cache for streamed,
+  // non-time-bounded queries): a live table's final answer, and otherwise
+  // answers over samples, whose pipeline state a later query resumes from
+  // (prefixes of unshuffled exact tables don't resume). A live table's entry
+  // is final-only: its run families live in the pinned snapshot, not the
+  // SampleStore, so the pipelines could not be re-bound later.
+  const bool resumable = !req.leveled;
+  bool cacheable = req.cache != nullptr;
   for (const auto& p : plans) {
-    cacheable = cacheable && !p.spec.dataset.is_exact();
+    cacheable = cacheable && (!resumable || !p.spec.dataset.is_exact());
   }
   // Capture what the entry needs before the specs are moved into the plan.
   std::vector<CachedPipeline> cached_pipes;
-  if (cacheable) {
+  if (cacheable && resumable) {
     cached_pipes.reserve(plans.size());
     for (const auto& p : plans) {
       CachedPipeline cp;
@@ -663,7 +760,7 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
     }
   }
 
-  options.export_state = cacheable;
+  options.export_state = cacheable && resumable;
 
   QueryPlan plan;
   plan.pipelines.reserve(plans.size());
@@ -686,8 +783,9 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
   report.cancelled = run->cancelled;
   report.effective_error_bound =
       stmt.bounds.kind == QueryBounds::Kind::kError ? stmt.bounds.error : 0.0;
-  if (cache_req != nullptr && cache_req->cache != nullptr) {
-    report.cache = CacheOutcomeName(cache_req->outcome);
+  report.rewrite_fallback = req.rewrite_fallback;
+  if (req.cache != nullptr) {
+    report.cache = CacheOutcomeName(req.outcome);
   }
   if (plans.size() == 1) {
     const PipelinePlan& p = plans.front();
@@ -697,7 +795,7 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
     report.elp = p.elp;
     report.projected_error = p.projected_error;
   } else {
-    report.family = "union";
+    report.family = req.leveled ? "leveled" : "union";
   }
 
   double max_pipeline_total = 0.0;
@@ -778,8 +876,8 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
   if (cacheable && !run->cancelled) {
     bool complete = true;
     bool have_snapshot = false;
-    bool consistent = run->states.size() == cached_pipes.size();
-    for (size_t i = 0; consistent && i < cached_pipes.size(); ++i) {
+    bool consistent = !resumable || run->states.size() == cached_pipes.size();
+    for (size_t i = 0; consistent && i < plans.size(); ++i) {
       const PipelineOutcome& outcome = report.pipeline_outcomes[i];
       // "Complete" gates the serve-regardless-of-bound hit path, so it must
       // mean "no tighter answer exists": the scan covered the family's
@@ -790,6 +888,9 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
                  (outcome.reused_probe ||
                   outcome.blocks_consumed + plans[i].resume_blocks >=
                       outcome.blocks_total);
+      if (!resumable) {
+        continue;
+      }
       cached_pipes[i].snapshot = run->states[i];
       if (cached_pipes[i].snapshot != nullptr) {
         have_snapshot = true;
@@ -814,9 +915,9 @@ Result<ApproxAnswer> QueryRuntime::RunPlan(const SelectStatement& stmt,
       entry->cap = report.cap;
       entry->projected_error = report.projected_error;
       entry->num_subqueries = report.num_subqueries;
-      entry->rewrite_fallback = cache_req->rewrite_fallback;
+      entry->rewrite_fallback = req.rewrite_fallback;
       entry->pipelines = std::move(cached_pipes);
-      cache_req->cache->Insert(cache_req->key, std::move(entry));
+      req.cache->Insert(req.key, std::move(entry));
     }
   }
   return ApproxAnswer{std::move(result), std::move(report)};
@@ -898,46 +999,8 @@ ApproxAnswer QueryRuntime::ServeCacheHit(const SelectStatement& stmt,
   report.effective_error_bound =
       stmt.bounds.kind == QueryBounds::Kind::kError ? stmt.bounds.error : 0.0;
   report.cache = CacheOutcomeName(CacheOutcome::kHit);
+  report.rewrite_fallback = entry->rewrite_fallback;
   return answer;
-}
-
-Result<ApproxAnswer> QueryRuntime::RunUnion(const SelectStatement& stmt,
-                                            const std::string& table_name,
-                                            const Table& fact, double scale_factor,
-                                            const Table* dim,
-                                            std::vector<Predicate> disjuncts,
-                                            const ProgressCallback& progress,
-                                            const std::atomic<bool>* cancel,
-                                            CacheRequest* cache_req,
-                                            uint32_t batch_blocks_override) const {
-  // One pipeline per conjunctive disjunct, each bound to its best-covering
-  // dataset (§4.1.2). AVG recombination needs a COUNT column, so every
-  // subquery gets the helper before family selection probes it — the probes
-  // then carry the same aggregate shape the pipelines scan.
-  const UnionCombiner combiner(stmt);
-  std::vector<PipelinePlan> plans;
-  plans.reserve(disjuncts.size());
-  for (auto& disjunct : disjuncts) {
-    SelectStatement sub = stmt;
-    sub.where = std::move(disjunct);
-    combiner.PrepareSubquery(sub);
-    auto choice = ChooseFamily(sub, table_name, fact, scale_factor, dim);
-    if (!choice.ok()) {
-      return choice.status();
-    }
-    if (choice->family == nullptr) {
-      plans.push_back(PlanExact(sub, fact, scale_factor, dim));
-      continue;
-    }
-    const SampleFamily* family = choice->family;
-    auto pipeline = PlanOnFamily(sub, *family, std::move(*choice), scale_factor, dim);
-    if (!pipeline.ok()) {
-      return pipeline.status();
-    }
-    plans.push_back(std::move(pipeline.value()));
-  }
-  return RunPlan(stmt, std::move(plans), scale_factor, progress, cancel, cache_req,
-                 batch_blocks_override);
 }
 
 QueryRuntime::PipelinePlan QueryRuntime::PlanLevel(const SelectStatement& sub,
@@ -1015,195 +1078,147 @@ QueryRuntime::PipelinePlan QueryRuntime::PlanLevel(const SelectStatement& sub,
   return plan;
 }
 
-Result<ApproxAnswer> QueryRuntime::ExecuteLeveled(
+Result<QueryRuntime::PipelinePlan> QueryRuntime::PlanPipeline(
     const SelectStatement& stmt, const std::string& table_name, const Table& fact,
-    double scale_factor, const std::vector<LevelScan>& levels, const Table* dim,
-    ProgressCallback progress, const std::atomic<bool>* cancel,
-    const CacheContext& cache_ctx, uint32_t batch_blocks_override) const {
-  if (levels.empty()) {
-    return Execute(stmt, table_name, fact, scale_factor, dim, std::move(progress),
-                   cancel, cache_ctx, batch_blocks_override);
-  }
-  for (const auto& item : stmt.items) {
-    if (item.is_aggregate && item.agg.func == AggFunc::kQuantile) {
-      return Status::Unimplemented(
-          "quantiles over a leveled table are not supported: t-digests do not "
-          "recombine across level pipelines with run-local weights");
-    }
-  }
-  const double confidence = stmt.bounds.kind == QueryBounds::Kind::kError
-                                ? stmt.bounds.confidence
-                                : config_.default_confidence;
-  const bool cache_on = cache_ctx.cache != nullptr && config_.streaming &&
-                        stmt.bounds.kind != QueryBounds::Kind::kTime;
-
-  // Same terminal-callback safety net as Execute; the leveled cache outcome
-  // is settled before the first partial can fire (hit returns early, so any
-  // streamed partial is a miss).
-  bool progress_fired = false;
-  ProgressCallback wrapped;
-  if (progress) {
-    wrapped = [&progress, &progress_fired, cache_on](const QueryResult& partial,
-                                                     const StreamProgress& p) {
-      progress_fired = true;
-      if (cache_on) {
-        StreamProgress stamped = p;
-        stamped.cache = CacheOutcomeName(CacheOutcome::kMiss);
-        progress(partial, stamped);
-        return;
-      }
-      progress(partial, p);
-    };
-  }
-  auto finish = [&](Result<ApproxAnswer> answer) {
-    if (progress && answer.ok() && !progress_fired) {
-      const ApproxAnswer& a = answer.value();
-      StreamProgress p;
-      p.blocks_consumed = a.report.blocks_consumed;
-      p.blocks_total = a.report.blocks_read;
-      p.rows_consumed = a.report.rows_read;
-      p.rows_total = a.report.rows_read;
-      p.achieved_error = a.report.achieved_error;
-      p.bound_met = stmt.bounds.kind == QueryBounds::Kind::kError &&
-                    a.report.achieved_error <= stmt.bounds.error;
-      p.bytes_scanned = a.report.bytes_scanned;
-      p.bytes_decoded = a.report.bytes_decoded;
-      p.final_batch = true;
-      p.cache = a.report.cache;
-      progress(a.result, p);
-    }
-    return answer;
-  };
-
-  // --- Answer cache: hit or cold, never resume -------------------------------
-  // Run families live in the pinned snapshot, not the SampleStore, so a
-  // cached pipeline prefix cannot be re-bound later; entries are final-only.
-  // The key carries the snapshot fingerprint on top of the generation: two
-  // different pinned level sets can never share an entry.
-  std::string cache_key;
-  if (cache_on) {
-    cache_key = AnswerCacheKey(stmt, cache_ctx.table_generation,
-                               config_.morsel_rows, config_.compressed_scan,
-                               config_.filter_encoded_views) +
-                "|" + cache_ctx.key_suffix;
-    if (auto entry = cache_ctx.cache->Lookup(cache_key)) {
-      const double err = ReportedError(entry->result, stmt.bounds, confidence);
-      const bool meets = stmt.bounds.kind == QueryBounds::Kind::kError &&
-                         err <= stmt.bounds.error;
-      if (meets || entry->complete) {
-        cache_ctx.cache->RecordOutcome(CacheOutcome::kHit);
-        ApproxAnswer hit = ServeCacheHit(stmt, entry, err);
-        hit.report.rewrite_fallback = entry->rewrite_fallback;
-        return finish(std::move(hit));
-      }
-    }
-    cache_ctx.cache->RecordOutcome(CacheOutcome::kMiss);
-  }
-
-  // --- Plan: base pipeline + one pipeline per pinned run ---------------------
-  // No DNF rewrite on the leveled path: a disjunctive WHERE runs as one scan
-  // of the whole predicate per level (the pipeline set stays levels + 1), and
-  // the report says so via rewrite_fallback — same contract as the overflow
-  // fallback of the flat path.
-  const bool rewrite_fallback =
-      stmt.where.has_value() && !stmt.where->IsConjunctive();
-  const UnionCombiner combiner(stmt);
-  SelectStatement sub = stmt;
-  combiner.PrepareSubquery(sub);
-
-  std::vector<PipelinePlan> plans;
-  plans.reserve(levels.size() + 1);
-  bool base_tightenable = false;
-  auto choice = ChooseFamily(sub, table_name, fact, scale_factor, dim);
+    double scale_factor, const Table* dim) const {
+  auto choice = ChooseFamily(stmt, table_name, fact, scale_factor, dim);
   if (!choice.ok()) {
     return choice.status();
   }
   if (choice->family == nullptr) {
-    plans.push_back(PlanExact(sub, fact, scale_factor, dim));
-  } else {
-    const SampleFamily* family = choice->family;
-    auto pipeline =
-        PlanOnFamily(sub, *family, std::move(*choice), scale_factor, dim);
+    return PlanExact(stmt, fact, scale_factor, dim);
+  }
+  const SampleFamily* family = choice->family;
+  return PlanOnFamily(stmt, *family, std::move(*choice), scale_factor, dim);
+}
+
+Result<std::vector<QueryRuntime::PipelinePlan>> QueryRuntime::Plan(
+    const SelectStatement& stmt, const std::string& table_name, const Table& fact,
+    double scale_factor, const std::vector<LevelScan>& levels, const Table* dim,
+    RunRequest& req) const {
+  std::vector<PipelinePlan> plans;
+  // Appends the pipeline answering `sub` over the base table.
+  auto add = [&](const SelectStatement& sub) -> Status {
+    auto pipeline = PlanPipeline(sub, table_name, fact, scale_factor, dim);
     if (!pipeline.ok()) {
       return pipeline.status();
     }
-    // A base scan that stopped at a coarser resolution could still be
-    // tightened by a re-execution streaming resolution 0, so such an answer
-    // must not gate the serve-regardless-of-bound cache path.
-    base_tightenable = pipeline.value().scan_resolution != 0;
     plans.push_back(std::move(pipeline.value()));
-  }
-  for (const LevelScan& level : levels) {
-    plans.push_back(PlanLevel(sub, stmt, level, scale_factor, dim));
-  }
-
-  auto answer =
-      RunPlan(stmt, std::move(plans), scale_factor, wrapped, cancel,
-              /*cache_req=*/nullptr, batch_blocks_override);
-  if (!answer.ok()) {
-    return answer.status();
-  }
-  ExecutionReport& report = answer.value().report;
-  report.family = "leveled";
-  report.rewrite_fallback = rewrite_fallback;
-  if (cache_on) {
-    report.cache = CacheOutcomeName(CacheOutcome::kMiss);
-  }
-
-  // --- Cache insertion: final answer only ------------------------------------
-  // RunPlan's own insertion path is bypassed (it would record resumable
-  // pipeline state bound to SampleStore families — the wrong store for run
-  // families). A later query with the same statement, generation, and pinned
-  // fingerprint serves this FINAL; any other level set misses by key.
-  if (cache_on && !report.cancelled) {
-    auto entry = std::make_shared<CacheEntry>();
-    entry->result = answer.value().result;
-    entry->result_confidence = confidence;
-    entry->complete = !report.stopped_early && !base_tightenable;
-    entry->resumable = false;
-    entry->blocks_consumed = report.blocks_consumed;
-    for (const PipelineOutcome& outcome : report.pipeline_outcomes) {
-      entry->blocks_total += outcome.blocks_total;
+    return Status::Ok();
+  };
+  const bool disjunctive = stmt.where.has_value() && !stmt.where->IsConjunctive();
+  if (!levels.empty()) {
+    // A live table: the base pipeline plus one pipeline per pinned run,
+    // recombined like union disjuncts (AVG needs the helper COUNT in every
+    // pipeline). No DNF rewrite: a disjunctive WHERE runs as one scan of the
+    // whole predicate per level, keeping the pipeline set at levels + 1.
+    req.leveled = true;
+    req.rewrite_fallback = disjunctive;
+    SelectStatement sub = stmt;
+    UnionCombiner(stmt).PrepareSubquery(sub);
+    plans.reserve(levels.size() + 1);
+    const Status base = add(sub);
+    if (!base.ok()) {
+      return base;
     }
-    entry->rows_consumed = report.rows_read;
-    entry->family = report.family;
-    entry->resolution = report.resolution;
-    entry->cap = report.cap;
-    entry->projected_error = report.projected_error;
-    entry->num_subqueries = report.num_subqueries;
-    entry->rewrite_fallback = rewrite_fallback;
-    cache_ctx.cache->Insert(cache_key, std::move(entry));
+    for (const LevelScan& level : levels) {
+      plans.push_back(PlanLevel(sub, stmt, level, scale_factor, dim));
+    }
+    return plans;
   }
-  return finish(std::move(answer));
+
+  // Disjunctive WHERE with no single covering family: rewrite as a union of
+  // conjunctive subqueries (§4.1.2), one pipeline per disjunct, each bound to
+  // its best-covering dataset. Quantiles cannot be recombined across
+  // disjuncts, so they always take the single-family path.
+  const SelectStatement* single = &stmt;
+  SelectStatement lone;  // backing store when dedup collapses the OR
+  if (disjunctive && !HasQuantile(stmt) &&
+      store_->CoveringFamilies(table_name, stmt.TemplateColumns()).empty()) {
+    auto disjuncts = ToDnf(*stmt.where, config_.max_disjuncts);
+    if (disjuncts.has_value()) {
+      DedupDisjuncts(*disjuncts);
+    }
+    if (!disjuncts.has_value() ||
+        (disjuncts->size() > 1 && !PairwiseDisjoint(*disjuncts))) {
+      // DNF overflow, or disjuncts that may share rows (the union would count
+      // them twice): run the whole disjunctive predicate as one scan, and say
+      // so instead of falling back silently.
+      req.rewrite_fallback = true;
+    } else if (disjuncts->size() == 1) {
+      // Every disjunct was identical (e.g. `x = 1 OR x = 1`): the query is
+      // really conjunctive; running the lone disjunct as a plain query
+      // avoids double-counting the "union".
+      lone = stmt;
+      lone.where = std::move(disjuncts->front());
+      single = &lone;
+    } else {
+      // AVG recombination needs a COUNT column, so every subquery gets the
+      // helper before family selection probes it — the probes then carry the
+      // same aggregate shape the pipelines scan.
+      const UnionCombiner combiner(stmt);
+      plans.reserve(disjuncts->size());
+      for (Predicate& disjunct : *disjuncts) {
+        SelectStatement sub = stmt;
+        sub.where = std::move(disjunct);
+        combiner.PrepareSubquery(sub);
+        const Status status = add(sub);
+        if (!status.ok()) {
+          return status;
+        }
+      }
+      return plans;
+    }
+  }
+  const Status status = add(*single);
+  if (!status.ok()) {
+    return status;
+  }
+  return plans;
 }
 
 Result<ApproxAnswer> QueryRuntime::Execute(const SelectStatement& stmt,
                                            const std::string& table_name,
                                            const Table& fact, double scale_factor,
+                                           const std::vector<LevelScan>& levels,
                                            const Table* dim,
                                            ProgressCallback progress,
                                            const std::atomic<bool>* cancel,
                                            const CacheContext& cache_ctx,
                                            uint32_t batch_blocks_override) const {
-  // Declared ahead of the progress wrappers so they can stamp the cache
-  // outcome into every StreamProgress (by-reference capture; the outcome is
-  // settled before the first partial can fire).
-  CacheRequest cache_req;
-  CacheRequest* cache_reqp = nullptr;
+  // Checked ahead of the cache so a query no plan can run never counts as a
+  // cache miss.
+  if (!levels.empty() && HasQuantile(stmt)) {
+    return Status::Unimplemented(
+        "quantiles over a leveled table are not supported: t-digests do not "
+        "recombine across level pipelines with run-local weights");
+  }
+  // Time-bounded queries are never cached (their budgets depend on the
+  // clock); with no cache configured the code path below is byte-for-byte
+  // the pre-cache behavior.
+  RunRequest req;
+  if (cache_ctx.cache != nullptr && config_.streaming &&
+      stmt.bounds.kind != QueryBounds::Kind::kTime) {
+    req.cache = cache_ctx.cache;
+    req.key = AnswerCacheKey(stmt, cache_ctx.table_generation, config_.morsel_rows,
+                             config_.compressed_scan, config_.filter_encoded_views,
+                             cache_ctx.snapshot_fingerprint);
+  }
 
   // The callback contract promises a terminal final_batch invocation for
   // every successful query. The plan driver fires it on every path it
-  // drives; the synthetic completion below is a safety net for any path
-  // that returns without streaming.
+  // drives; the synthetic completion below covers a cache hit, which
+  // returns without streaming. Partials carry the cache outcome, settled
+  // before the first one can fire.
   bool progress_fired = false;
   ProgressCallback wrapped;
   if (progress) {
-    wrapped = [&progress, &progress_fired, &cache_reqp](const QueryResult& partial,
-                                                        const StreamProgress& p) {
+    wrapped = [&progress, &progress_fired, &req](const QueryResult& partial,
+                                                 const StreamProgress& p) {
       progress_fired = true;
-      if (cache_reqp != nullptr) {
+      if (req.cache != nullptr) {
         StreamProgress stamped = p;
-        stamped.cache = CacheOutcomeName(cache_reqp->outcome);
+        stamped.cache = CacheOutcomeName(req.outcome);
         progress(partial, stamped);
         return;
       }
@@ -1231,18 +1246,8 @@ Result<ApproxAnswer> QueryRuntime::Execute(const SelectStatement& stmt,
   };
 
   // --- Answer cache: hit / resume / miss ------------------------------------
-  // Time-bounded queries are never cached (their budgets depend on the
-  // clock); with no cache configured this block is a no-op and the code path
-  // below is byte-for-byte the pre-cache behavior.
-  std::shared_ptr<const CacheEntry> resume_entry;
-  if (cache_ctx.cache != nullptr && config_.streaming &&
-      stmt.bounds.kind != QueryBounds::Kind::kTime) {
-    cache_req.cache = cache_ctx.cache;
-    cache_req.key = AnswerCacheKey(stmt, cache_ctx.table_generation,
-                                   config_.morsel_rows, config_.compressed_scan,
-                                   config_.filter_encoded_views);
-    cache_reqp = &cache_req;
-    if (auto entry = cache_ctx.cache->Lookup(cache_req.key)) {
+  if (req.cache != nullptr) {
+    if (auto entry = req.cache->Lookup(req.key)) {
       const double confidence = stmt.bounds.kind == QueryBounds::Kind::kError
                                     ? stmt.bounds.confidence
                                     : config_.default_confidence;
@@ -1253,98 +1258,33 @@ Result<ApproxAnswer> QueryRuntime::Execute(const SelectStatement& stmt,
         // The cached answer already satisfies this query — or its scan is
         // complete, so re-executing could not tighten it. Serve the stored
         // FINAL: zero blocks consumed, microsecond latency.
-        cache_ctx.cache->RecordOutcome(CacheOutcome::kHit);
-        ApproxAnswer hit = ServeCacheHit(stmt, entry, err);
-        hit.report.rewrite_fallback = entry->rewrite_fallback;
-        return finish(std::move(hit));
+        req.cache->RecordOutcome(CacheOutcome::kHit);
+        return finish(ServeCacheHit(stmt, entry, err));
       }
       if (entry->resumable) {
-        resume_entry = std::move(entry);
-      }
-    }
-  }
-  if (resume_entry != nullptr) {
-    if (auto resumed = PlanResumeFromCache(stmt, table_name, *resume_entry)) {
-      // Near-miss: the cached error is wider than the incoming bound. Seed
-      // the pipelines with the snapshots and stream on from the cached
-      // prefix — strictly fewer blocks than a cold run, same answer bits.
-      cache_req.outcome = CacheOutcome::kResume;
-      cache_req.rewrite_fallback = resume_entry->rewrite_fallback;
-      cache_ctx.cache->RecordOutcome(CacheOutcome::kResume);
-      auto answer = RunPlan(stmt, std::move(*resumed), scale_factor, wrapped,
-                            cancel, cache_reqp, batch_blocks_override);
-      if (answer.ok()) {
-        answer.value().report.rewrite_fallback = resume_entry->rewrite_fallback;
-      }
-      return finish(std::move(answer));
-    }
-    resume_entry.reset();  // store changed under the entry: run cold
-  }
-  if (cache_reqp != nullptr) {
-    cache_ctx.cache->RecordOutcome(CacheOutcome::kMiss);
-  }
-
-  // Disjunctive WHERE with no single covering family: rewrite as a union of
-  // conjunctive subqueries (§4.1.2). Quantiles cannot be recombined across
-  // disjuncts, so they always take the single-family path.
-  bool rewrite_fallback = false;
-  const SelectStatement* effective = &stmt;
-  SelectStatement dedup_stmt;  // backing store when dedup collapses the OR
-  if (stmt.where.has_value() && !stmt.where->IsConjunctive()) {
-    const std::vector<std::string> phi = stmt.TemplateColumns();
-    const bool has_covering = !store_->CoveringFamilies(table_name, phi).empty();
-    bool has_quantile = false;
-    for (const auto& item : stmt.items) {
-      if (item.is_aggregate && item.agg.func == AggFunc::kQuantile) {
-        has_quantile = true;
-      }
-    }
-    if (!has_covering && !has_quantile) {
-      auto disjuncts = ToDnf(*stmt.where, config_.max_disjuncts);
-      if (!disjuncts.has_value()) {
-        // DNF overflow: run the whole disjunctive predicate as one scan, and
-        // say so instead of falling back silently.
-        rewrite_fallback = true;
-      } else {
-        DedupDisjuncts(*disjuncts);
-        if (disjuncts->size() > 1) {
-          return finish(RunUnion(stmt, table_name, fact, scale_factor, dim,
-                                 std::move(*disjuncts), wrapped, cancel, cache_reqp,
-                                 batch_blocks_override));
+        if (auto resumed = PlanResumeFromCache(stmt, table_name, *entry)) {
+          // Near-miss: the cached error is wider than the incoming bound.
+          // Seed the pipelines with the snapshots and stream on from the
+          // cached prefix — strictly fewer blocks than a cold run, same
+          // answer bits.
+          req.outcome = CacheOutcome::kResume;
+          req.rewrite_fallback = entry->rewrite_fallback;
+          req.cache->RecordOutcome(CacheOutcome::kResume);
+          return finish(RunPlan(stmt, std::move(*resumed), scale_factor, wrapped,
+                                cancel, req, batch_blocks_override));
         }
-        // Every disjunct was identical (e.g. `x = 1 OR x = 1`): the query is
-        // really conjunctive; running the lone disjunct as a plain query
-        // avoids double-counting the "union".
-        dedup_stmt = stmt;
-        dedup_stmt.where = std::move(disjuncts->front());
-        effective = &dedup_stmt;
+        // The store changed under the entry: run cold.
       }
     }
+    req.cache->RecordOutcome(CacheOutcome::kMiss);
   }
 
-  auto choice = ChooseFamily(*effective, table_name, fact, scale_factor, dim);
-  if (!choice.ok()) {
-    return choice.status();
+  auto plans = Plan(stmt, table_name, fact, scale_factor, levels, dim, req);
+  if (!plans.ok()) {
+    return plans.status();
   }
-  std::vector<PipelinePlan> plans;
-  if (choice->family == nullptr) {
-    plans.push_back(PlanExact(*effective, fact, scale_factor, dim));
-  } else {
-    const SampleFamily* family = choice->family;
-    auto pipeline =
-        PlanOnFamily(*effective, *family, std::move(*choice), scale_factor, dim);
-    if (!pipeline.ok()) {
-      return pipeline.status();
-    }
-    plans.push_back(std::move(pipeline.value()));
-  }
-  cache_req.rewrite_fallback = rewrite_fallback;
-  auto answer = RunPlan(*effective, std::move(plans), scale_factor, wrapped,
-                        cancel, cache_reqp, batch_blocks_override);
-  if (answer.ok()) {
-    answer.value().report.rewrite_fallback = rewrite_fallback;
-  }
-  return finish(std::move(answer));
+  return finish(RunPlan(stmt, std::move(plans.value()), scale_factor, wrapped, cancel,
+                        req, batch_blocks_override));
 }
 
 }  // namespace blink

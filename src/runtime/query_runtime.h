@@ -8,7 +8,8 @@
 // the one plan driver. A conjunctive query is a 1-pipeline plan over its
 // chosen dataset, a disjunctive WHERE is rewritten into an N-pipeline union
 // plan with one pipeline per DNF disjunct (§4.1.2) whose pipelines stream
-// together under a joint error bound, and the EXACT fallback is a 1-pipeline
+// together under a joint error bound, a live table adds one pipeline per
+// ingest run to the base pipeline, and the EXACT fallback is a 1-pipeline
 // plan over the base table.
 #ifndef BLINKDB_RUNTIME_QUERY_RUNTIME_H_
 #define BLINKDB_RUNTIME_QUERY_RUNTIME_H_
@@ -102,7 +103,7 @@ struct ElpPoint {
 
 // Diagnostics describing how the runtime answered a query.
 struct ExecutionReport {
-  std::string family;             // "exact", "uniform", "{c1,c2}", or "union"
+  std::string family;  // "exact", "uniform", "{c1,c2}", "union", or "leveled"
   size_t resolution = 0;
   uint64_t cap = 0;
   uint64_t rows_read = 0;
@@ -144,9 +145,11 @@ struct ExecutionReport {
   double achieved_error = 0.0;    // self-reported relative error of the answer
   std::vector<ElpPoint> elp;
   size_t num_subqueries = 1;      // union-plan pipelines (>1 when the rewrite fired)
-  // The WHERE was disjunctive but the DNF expansion overflowed max_disjuncts,
-  // so the query ran as a single scan of the whole disjunctive predicate
-  // instead of a union plan (§4.1.2 rewrite abandoned, not silently hidden).
+  // The WHERE was disjunctive but ran as a single scan of the whole
+  // disjunctive predicate instead of a union plan (§4.1.2 rewrite abandoned,
+  // not silently hidden): the DNF expansion overflowed max_disjuncts, two
+  // disjuncts may overlap (the union would count their shared rows twice;
+  // see DisjunctsDisjoint), or the table is live (one scan per level).
   bool rewrite_fallback = false;
   // Scheduling mode the plan was driven under (RuntimeConfig::schedule_mode).
   ScheduleMode schedule = ScheduleMode::kUniform;
@@ -170,11 +173,11 @@ struct ApproxAnswer {
 struct CacheContext {
   AnswerCache* cache = nullptr;
   uint64_t table_generation = 0;
-  // Extra key material appended to the answer-cache key. The leveled path
-  // passes the pinned snapshot's fingerprint (version + run ids) so two
-  // different level sets can never share an entry, even across the window
-  // between a publication and its generation bump becoming visible.
-  std::string key_suffix;
+  // A live table's pinned snapshot fingerprint (version + run ids); empty
+  // for a flat table. Part of the key (AnswerCacheKey), so two different
+  // level sets can never share an entry, even across the window between a
+  // publication and its generation bump becoming visible.
+  std::string snapshot_fingerprint;
 };
 
 // One immutable ingest run a leveled query scans in addition to the base
@@ -200,18 +203,28 @@ class QueryRuntime {
 
   // Answers `stmt` over table `table_name` whose exact contents are `fact`.
   // `scale_factor` maps in-memory bytes to paper-scale bytes for the latency
-  // model (a 5M-row stand-in for a 5.5B-row table has scale 1100). `dim` is
-  // the joined dimension table, exact and unsampled (§2.1). `progress`, when
-  // set, receives the partial answer after every streamed round — for union
-  // plans, the combined partial answer across all pipelines. `cancel`, when
-  // non-null, is a cooperative cancellation flag checked at round
-  // boundaries: once true, the plan returns its best partial answer with
-  // ExecutionReport::cancelled set, and the cluster model is charged only
-  // for the blocks actually consumed (the §4.4 early-stopping rule).
+  // model (a 5M-row stand-in for a 5.5B-row table has scale 1100). `levels`
+  // are the ingest runs of a live table, borrowed from a pinned
+  // LeveledStore::Snapshot the caller keeps alive across the call; empty for
+  // a flat table. A live table is just a wider plan: the base pipeline plus
+  // one pipeline per run, driven as one union under the joint stopping rule
+  // (reported family "leveled"). Its plan skips the DNF rewrite (a
+  // disjunctive WHERE runs as one scan per level, reported rewrite_fallback)
+  // and rejects quantiles (t-digests do not recombine across level pipelines
+  // with run-local weights). `dim` is the joined dimension table, exact and
+  // unsampled (§2.1). `progress`, when set, receives the partial answer after
+  // every streamed round — for union plans, the combined partial answer
+  // across all pipelines. `cancel`, when non-null, is a cooperative
+  // cancellation flag checked at round boundaries: once true, the plan
+  // returns its best partial answer with ExecutionReport::cancelled set, and
+  // the cluster model is charged only for the blocks actually consumed (the
+  // §4.4 early-stopping rule).
   // `cache_ctx`, when it carries a cache, consults it before planning: a hit
   // whose achieved error meets the bound returns the stored FINAL with zero
   // blocks consumed, a near-miss resumes streaming from the cached prefix,
-  // and a miss executes cold and inserts the exported pipeline state.
+  // and a miss executes cold and inserts the answer. Entries over a live
+  // table are final-only: run families live in the pinned snapshot, not the
+  // SampleStore, so a cached prefix could not be re-bound later.
   // `batch_blocks_override`, when nonzero, replaces
   // RuntimeConfig::stream_batch_blocks for this call alone — the per-round
   // block share of streamed pipelines. Distributed workers use it so the
@@ -219,34 +232,12 @@ class QueryRuntime {
   // where pause points land) without reconfiguring the shared runtime pool.
   Result<ApproxAnswer> Execute(const SelectStatement& stmt, const std::string& table_name,
                                const Table& fact, double scale_factor,
+                               const std::vector<LevelScan>& levels = {},
                                const Table* dim = nullptr,
                                ProgressCallback progress = {},
                                const std::atomic<bool>* cancel = nullptr,
                                const CacheContext& cache_ctx = {},
                                uint32_t batch_blocks_override = 0) const;
-
-  // Execute over a live (leveled) table: the base table's chosen pipeline
-  // plus one pipeline per pinned ingest run, all driven as one union plan
-  // under the joint stopping rule — a query over a live table is just a wider
-  // physical plan. `levels` borrows from a pinned LeveledStore::Snapshot the
-  // caller keeps alive; an empty vector is exactly Execute. Differences from
-  // the flat path, by design:
-  //  - No DNF rewrite: a disjunctive WHERE runs as one scan per level
-  //    (reported rewrite_fallback), keeping the pipeline set = levels + 1.
-  //  - Quantiles are rejected (t-digests don't merge across level pipelines
-  //    with run-local weights yet).
-  //  - The answer cache serves hits and inserts final-only entries but never
-  //    resumes: run families live in the snapshot, not the SampleStore, so a
-  //    cached prefix cannot be re-bound after the snapshot is gone.
-  Result<ApproxAnswer> ExecuteLeveled(const SelectStatement& stmt,
-                                      const std::string& table_name, const Table& fact,
-                                      double scale_factor,
-                                      const std::vector<LevelScan>& levels,
-                                      const Table* dim = nullptr,
-                                      ProgressCallback progress = {},
-                                      const std::atomic<bool>* cancel = nullptr,
-                                      const CacheContext& cache_ctx = {},
-                                      uint32_t batch_blocks_override = 0) const;
 
  private:
   struct FamilyChoice {
@@ -302,16 +293,19 @@ class QueryRuntime {
     double resume_bytes_decoded = 0.0;
   };
 
-  // How RunPlan talks to the answer cache for one execution: the outcome to
-  // stamp into the report, and — for miss/resume outcomes — the key under
-  // which to insert the run's exported state afterwards.
-  struct CacheRequest {
+  // What RunPlan stamps into the report beyond the pipelines' outcomes, and
+  // how it talks to the answer cache for one execution.
+  struct RunRequest {
+    // Set by planning: the plan covers a live table's levels (report family
+    // "leveled", final-only cache entry), and a disjunctive WHERE ran as one
+    // scan instead of a §4.1.2 union plan.
+    bool leveled = false;
+    bool rewrite_fallback = false;
+    // Null = no cache. `outcome` is stamped into the report and every
+    // partial; the run's answer is inserted under `key` afterwards.
     AnswerCache* cache = nullptr;
     std::string key;
     CacheOutcome outcome = CacheOutcome::kMiss;
-    // Report flag the entry must reproduce on a hit (the cached execution ran
-    // the abandoned-rewrite path).
-    bool rewrite_fallback = false;
   };
 
   // §4.1.1: pick a family for a conjunctive column set. Probes every
@@ -330,8 +324,22 @@ class QueryRuntime {
   // Exact fallback pipeline over the base table.
   PipelinePlan PlanExact(const SelectStatement& stmt, const Table& fact,
                          double scale_factor, const Table* dim) const;
+  // One pipeline answering `stmt` over the base table: the §4.1.1 family
+  // choice planned through PlanOnFamily, or PlanExact when no family exists.
+  Result<PipelinePlan> PlanPipeline(const SelectStatement& stmt,
+                                    const std::string& table_name, const Table& fact,
+                                    double scale_factor, const Table* dim) const;
 
-  // One ingest run's pipeline for ExecuteLeveled: the run's best covering
+  // The pipelines answering `stmt`: one for a conjunctive WHERE, one per
+  // disjunct for a §4.1.2 union, and the base pipeline plus one per run for
+  // a live table. Records the leveled and rewrite_fallback stamps in `req`.
+  Result<std::vector<PipelinePlan>> Plan(const SelectStatement& stmt,
+                                         const std::string& table_name,
+                                         const Table& fact, double scale_factor,
+                                         const std::vector<LevelScan>& levels,
+                                         const Table* dim, RunRequest& req) const;
+
+  // One ingest run's pipeline of a live table's plan: the run's best covering
   // family at resolution 0 (stratified covering the predicate columns,
   // else uniform, else exact scan of the run's rows), streamed/budgeted the
   // same way the base pipeline is. `sub` is the union-prepared statement.
@@ -347,13 +355,13 @@ class QueryRuntime {
   // per-pipeline consumed blocks are charged to the cluster model (minus the
   // §4.4 probe prefixes) with makespan latency across pipelines. A fired
   // `cancel` flag ends the drive at a round boundary; the charges then cover
-  // exactly the consumed prefixes, never the planned totals.
+  // exactly the consumed prefixes, never the planned totals. The one place a
+  // cache entry is inserted.
   Result<ApproxAnswer> RunPlan(const SelectStatement& stmt,
                                std::vector<PipelinePlan> plans, double scale_factor,
                                const ProgressCallback& progress,
-                               const std::atomic<bool>* cancel,
-                               CacheRequest* cache_req = nullptr,
-                               uint32_t batch_blocks_override = 0) const;
+                               const std::atomic<bool>* cancel, const RunRequest& req,
+                               uint32_t batch_blocks_override) const;
 
   // Rebuilds the pipeline plans of a cached entry so RunPlan resumes
   // streaming from the snapshots instead of block 0. Nullopt when the entry
@@ -368,16 +376,6 @@ class QueryRuntime {
   ApproxAnswer ServeCacheHit(const SelectStatement& stmt,
                              const std::shared_ptr<const CacheEntry>& entry,
                              double achieved_error) const;
-
-  // §4.1.2: plan construction for the union-of-conjunctive-subqueries path.
-  Result<ApproxAnswer> RunUnion(const SelectStatement& stmt,
-                                const std::string& table_name, const Table& fact,
-                                double scale_factor, const Table* dim,
-                                std::vector<Predicate> disjuncts,
-                                const ProgressCallback& progress,
-                                const std::atomic<bool>* cancel,
-                                CacheRequest* cache_req = nullptr,
-                                uint32_t batch_blocks_override = 0) const;
 
   // Workload of scanning `ds` minus its first `skip_prefix_rows` rows
   // (a sample-prefix boundary, so the skip is whole blocks). Bytes and block
@@ -439,6 +437,14 @@ std::optional<std::vector<Predicate>> ToDnf(const Predicate& pred, size_t max_di
 // e.g. from `x = 1 OR x = 1` — would double-count the union. Exposed for
 // tests.
 void DedupDisjuncts(std::vector<Predicate>& disjuncts);
+
+// True when no row can satisfy both conjunctive predicates: some column
+// carries `=` with different literals in both, or comparisons whose ranges
+// cannot meet (`u < 0.35` vs `u > 0.65`, `k <= 2` vs `k = 7`). Numeric
+// literals compare as doubles, as the engine evaluates them. False only
+// means the two may overlap. The §4.1.2 union sums its pipelines' estimates,
+// so it is only correct over pairwise disjoint disjuncts. Exposed for tests.
+bool DisjunctsDisjoint(const Predicate& a, const Predicate& b);
 
 // The error metric ExecutionReport::achieved_error reports: the max over
 // every group's and aggregate's error at `confidence` — relative by default,

@@ -11,8 +11,8 @@
 // families over it that mirror the base table's family shapes (reusing the
 // §4.5 RebuildFamily machinery via BuildFamilyLike).
 //
-// Queries union the levels as extra plan pipelines (QueryRuntime::
-// ExecuteLeveled): the base table's sample plus one pipeline per run, all
+// Queries union the levels as extra plan pipelines (QueryRuntime::Execute
+// with the pinned levels): the base table's sample plus one pipeline per run, all
 // combined by the §4.3 estimator merge under the existing joint stopping rule
 // and adaptive grant attribution — a query over a live table is just a wider
 // physical plan.

@@ -12,7 +12,8 @@ AdmissionController::AdmissionController(const SampleStore* store,
                                          const RuntimeConfig& config, size_t workers,
                                          AdmissionOptions options)
     : options_(std::move(options)),
-      pool_(store, cluster, config, std::max<size_t>(1, workers)) {
+      pool_(store, cluster, config, std::max<size_t>(1, workers)),
+      idle_(pool_.size()) {
   workers_.reserve(pool_.size());
   for (size_t i = 0; i < pool_.size(); ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -76,9 +77,7 @@ void AdmissionController::WorkerLoop() {
     Decision decision;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      ++idle_;
       ready_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      --idle_;
       if (stopping_) {
         return;
       }
@@ -112,6 +111,7 @@ void AdmissionController::WorkerLoop() {
         continue;
       }
       ++running_[ticket.client];
+      --idle_;
     }
     admitted_.fetch_add(1, std::memory_order_relaxed);
     if (decision.shed_rung > 0) {
@@ -123,6 +123,7 @@ void AdmissionController::WorkerLoop() {
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
+      ++idle_;
       auto r = running_.find(ticket.client);
       if (r != running_.end() && --r->second == 0) {
         running_.erase(r);

@@ -118,7 +118,11 @@ class AdmissionController {
   std::deque<Ticket> queue_;
   // Tickets currently executing per client, for the fairness preference.
   std::unordered_map<uint64_t, size_t> running_;
-  size_t idle_ = 0;  // workers parked on ready_cv_, guarded by mu_
+  // Workers not running a ticket, guarded by mu_. Counted from the
+  // controller's own state — the pool size at construction, less the tickets
+  // claimed — so it never depends on whether a worker thread has reached its
+  // wait yet.
+  size_t idle_;
   bool stopping_ = false;
 
   std::vector<std::thread> workers_;

@@ -424,8 +424,8 @@ class BlinkServer::Session {
           });
         }
       };
-      // A table with ingested runs executes the leveled union plan against
-      // the level set pinned HERE: appends and merges published after this
+      // A table with ingested runs executes a leveled plan against the
+      // level set pinned HERE: appends and merges published after this
       // point are invisible to this query (snapshot isolation), and the
       // pinned snapshot keeps its runs alive through the scan.
       const auto pinned = server_->db_.PinLevels(stmt->table);
@@ -442,22 +442,17 @@ class BlinkServer::Session {
         if (pinned.has_value()) {
           // The snapshot fingerprint scopes cached answers to this exact
           // level set; any later publication changes it.
-          cache_ctx.key_suffix = pinned->fingerprint;
+          cache_ctx.snapshot_fingerprint = pinned->fingerprint;
         }
       }
       const uint32_t batch_override =
           paced ? static_cast<uint32_t>(std::min<uint64_t>(
                       query.round_blocks, std::numeric_limits<uint32_t>::max()))
                 : 0;
-      if (pinned.has_value()) {
-        return runtime.ExecuteLeveled(
-            *stmt, tables->fact->name, tables->fact->table,
-            tables->fact->scale_factor, pinned->levels,
-            tables->dim != nullptr ? &tables->dim->table : nullptr,
-            std::move(progress), cancel, cache_ctx, batch_override);
-      }
+      const std::vector<LevelScan> no_levels;
       return runtime.Execute(
           *stmt, tables->fact->name, tables->fact->table, tables->fact->scale_factor,
+          pinned.has_value() ? pinned->levels : no_levels,
           tables->dim != nullptr ? &tables->dim->table : nullptr, std::move(progress),
           cancel, cache_ctx, batch_override);
     }();

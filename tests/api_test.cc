@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "src/api/blinkdb.h"
 #include "src/workload/conviva.h"
 #include "src/workload/tpch.h"
@@ -69,6 +72,50 @@ TEST(BlinkDbTest, BuildSamplesAndQueryWithErrorBound) {
   EXPECT_NEAR(got, truth, truth * 0.15);
   // Sampling must beat the exact scan on simulated latency.
   EXPECT_LT(answer->report.total_latency, exact->report.total_latency);
+}
+
+// The §4.1.2 union sums its pipelines' estimates, so it may only split a
+// WHERE into disjuncts no row satisfies twice. Overlapping disjuncts run as
+// one scan of the whole predicate (reported rewrite_fallback); provably
+// disjoint ones keep the union.
+TEST(BlinkDbTest, OverlappingDisjunctsAreNotCountedTwice) {
+  constexpr char kOverlap[] =
+      "SELECT COUNT(*) FROM sessions WHERE (genre = 'drama' AND city = 'city_1') "
+      "OR genre = 'drama'";
+  constexpr char kDisjoint[] =
+      "SELECT COUNT(*) FROM sessions WHERE genre = 'drama' OR genre = 'comedy'";
+  BlinkDB db;
+  ASSERT_TRUE(db.RegisterTable("sessions", GenerateConvivaTable(SmallConviva())).ok());
+
+  // No samples: every pipeline scans the table exactly, so any double count
+  // shows as an exact inequality.
+  for (const char* sql : {kOverlap, kDisjoint}) {
+    auto answer = db.Query(sql);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    auto exact = db.QueryExact(sql);
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    EXPECT_EQ(answer->result.rows[0].aggregates[0].value,
+              exact->result.rows[0].aggregates[0].value)
+        << sql;
+    const bool overlapping = sql == kOverlap;
+    EXPECT_EQ(answer->report.rewrite_fallback, overlapping) << sql;
+    EXPECT_EQ(answer->report.num_subqueries, overlapping ? 1u : 2u) << sql;
+  }
+
+  // Over samples (no family covers {genre, city}) the bounded answer is one
+  // scan too, and its interval covers the truth.
+  ASSERT_TRUE(db.BuildSamples("sessions", ConvivaTemplates(), SmallPlanner()).ok());
+  const std::string bounded = std::string(kOverlap) + " ERROR WITHIN 5% AT CONFIDENCE 95%";
+  auto answer = db.Query(bounded);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(answer->report.rewrite_fallback);
+  EXPECT_EQ(answer->report.num_subqueries, 1u);
+  auto exact = db.QueryExact(kOverlap);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  const Estimate& estimate = answer->result.rows[0].aggregates[0];
+  EXPECT_LE(std::abs(estimate.value - exact->result.rows[0].aggregates[0].value),
+            3.0 * estimate.ErrorAt(0.95))
+      << "family=" << answer->report.family;
 }
 
 TEST(BlinkDbTest, TimeBoundedQueryMeetsBudget) {

@@ -75,7 +75,7 @@ struct Fixture {
                            const CacheContext& cache_ctx = {}) const {
     QueryRuntime runtime(&store, &cluster, config);
     auto answer =
-        runtime.Execute(stmt, "t", fact, scale, nullptr, {}, nullptr, cache_ctx);
+        runtime.Execute(stmt, "t", fact, scale, {}, nullptr, {}, nullptr, cache_ctx);
     EXPECT_TRUE(answer.ok()) << answer.status().ToString();
     return std::move(answer.value());
   }

@@ -162,8 +162,9 @@ TEST(FuzzDifferentialTest, NeverStopAnswersAreScheduleIndependent) {
   Rng rng(4242);
   int unions = 0;
   for (int q = 0; q < 6; ++q) {
-    const std::string sql = RandomQuery(rng, /*allow_quantile=*/true) +
-                            " ERROR WITHIN 0.0000001% AT CONFIDENCE 95%";
+    const std::string sql =
+        RandomQuery(rng, /*allow_quantile=*/true, /*mix_disjoint=*/true) +
+        " ERROR WITHIN 0.0000001% AT CONFIDENCE 95%";
     auto stmt = ParseSelect(sql);
     ASSERT_TRUE(stmt.ok()) << sql;
     for (uint32_t morsel_rows : {64u, 1024u, 4096u}) {
@@ -213,7 +214,8 @@ TEST(FuzzDifferentialTest, StoppedAnswersHonorTheBound) {
     char bound[80];
     std::snprintf(bound, sizeof(bound), " ERROR WITHIN %.4f%% AT CONFIDENCE 95%%",
                   target * 100.0);
-    const std::string sql = RandomQuery(rng, /*allow_quantile=*/false) + bound;
+    const std::string sql =
+        RandomQuery(rng, /*allow_quantile=*/false, /*mix_disjoint=*/true) + bound;
     auto stmt = ParseSelect(sql);
     ASSERT_TRUE(stmt.ok()) << sql;
     const size_t threads = 1 + rng.NextBounded(2);  // shares stay equal (batch 2)
@@ -368,9 +370,10 @@ TEST(FuzzDifferentialTest, TimeBoundedRunsKeepConsistentAccounting) {
   Rng rng(90'210);
   int partial_runs = 0;
   for (int q = 0; q < 12; ++q) {
-    const int seconds = 2 + static_cast<int>(rng.NextBounded(28));
-    const std::string sql = RandomQuery(rng, /*allow_quantile=*/false) + " WITHIN " +
-                            std::to_string(seconds) + " SECONDS";
+    const int seconds = 2 + static_cast<int>(rng.NextBounded(10));
+    const std::string sql =
+        RandomQuery(rng, /*allow_quantile=*/false, /*mix_disjoint=*/true) + " WITHIN " +
+        std::to_string(seconds) + " SECONDS";
     auto stmt = ParseSelect(sql);
     ASSERT_TRUE(stmt.ok()) << sql;
     for (ScheduleMode mode : {ScheduleMode::kUniform, ScheduleMode::kAdaptive}) {
@@ -517,7 +520,7 @@ TEST(FuzzDifferentialTest, IngestAnswersAreReplayAndScheduleIndependent) {
     const std::vector<ScriptOp> ops = MakeScript(rng);
     std::vector<std::string> queries;
     for (int q = 0; q < 3; ++q) {
-      // No quantiles: ExecuteLeveled rejects them (t-digests do not merge
+      // No quantiles: a live table's plan rejects them (t-digests do not merge
       // across run-local weights).
       queries.push_back(RandomQuery(rng, /*allow_quantile=*/false) +
                         " ERROR WITHIN 0.0000001% AT CONFIDENCE 95%");

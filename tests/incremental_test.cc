@@ -442,7 +442,7 @@ TEST(ProgressCallbackTest, NonStreamedPathsFireOneFinalCallback) {
   QueryRuntime runtime(&store, &cluster);
   std::vector<StreamProgress> seen;
   auto answer = runtime.Execute(
-      *stmt, "t", fact, scale, nullptr,
+      *stmt, "t", fact, scale, /*levels=*/{}, nullptr,
       [&seen](const QueryResult& partial, const StreamProgress& p) {
         EXPECT_FALSE(partial.rows.empty());
         seen.push_back(p);
@@ -551,7 +551,8 @@ struct UnionFixture {
   ApproxAnswer MustExecute(const SelectStatement& stmt, const RuntimeConfig& config,
                            ProgressCallback progress = {}) const {
     QueryRuntime runtime(&store, &cluster, config);
-    auto answer = runtime.Execute(stmt, "t", fact, scale, nullptr, std::move(progress));
+    auto answer = runtime.Execute(stmt, "t", fact, scale, /*levels=*/{}, nullptr,
+                                  std::move(progress));
     EXPECT_TRUE(answer.ok()) << answer.status().ToString();
     return std::move(answer.value());
   }
@@ -567,10 +568,21 @@ std::string RandomDisjunctiveQuery(Rng& rng) {
     }
     sql += aggs[rng.NextBounded(4)];
   }
-  sql += " FROM t WHERE " + RandomLeaf(rng);
+  // Each disjunct is a random leaf AND one of 2-3 equally likely ranges of
+  // w ~ N(50, 5): no row satisfies two disjuncts, so the union plan (which
+  // only takes provably disjoint disjuncts) runs them.
+  std::vector<std::string> leaves = {RandomLeaf(rng)};
   const int extra = 1 + static_cast<int>(rng.NextBounded(2));
   for (int i = 0; i < extra; ++i) {
-    sql += " OR " + RandomLeaf(rng);
+    leaves.push_back(RandomLeaf(rng));
+  }
+  const std::vector<std::string> ranges =
+      extra == 1 ? std::vector<std::string>{"w < 50", "w >= 50"}
+                 : std::vector<std::string>{"w < 47.85", "w >= 47.85 AND w < 52.15",
+                                            "w >= 52.15"};
+  sql += " FROM t WHERE ";
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    sql += (i > 0 ? " OR (" : "(") + leaves[i] + " AND " + ranges[i] + ")";
   }
   return sql;
 }
@@ -586,7 +598,7 @@ TEST(DisjunctiveStreamingTest, NeverStopDriveIsBitIdenticalToOneShotUnion) {
   const char* sqls[] = {
       "SELECT COUNT(*), SUM(v) FROM t WHERE a = 1 OR a = 7 "
       "ERROR WITHIN 0.0000001% AT CONFIDENCE 95%",
-      "SELECT AVG(v) FROM t WHERE s = 's_3' OR a < 2 "
+      "SELECT AVG(v) FROM t WHERE (s = 's_3' AND a >= 2) OR a < 2 "
       "ERROR WITHIN 0.0000001% AT CONFIDENCE 95%",
   };
   for (const char* sql : sqls) {

@@ -12,12 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/api/blinkdb.h"
+#include "src/cache/answer_cache.h"
 #include "src/sample/sample_family.h"
+#include "src/sql/parser.h"
 #include "src/util/rng.h"
 #include "tests/query_gen.h"
 
@@ -237,6 +240,120 @@ TEST(IngestConcurrencyTest, SampledMergesRaceBoundedQueries) {
   ASSERT_TRUE(exact.ok());
   EXPECT_DOUBLE_EQ(exact->result.rows[0].aggregates[0].value,
                    static_cast<double>(kBaseRows + 16 * 400));
+}
+
+// --- The answer cache over a pinned level set ---------------------------------
+
+// Every estimate and variance at %.17g: two answers render equal iff they are
+// bit-identical.
+std::string Render(const QueryResult& result) {
+  std::string out;
+  char buf[64];
+  for (const ResultRow& row : result.rows) {
+    for (const Estimate& estimate : row.aggregates) {
+      std::snprintf(buf, sizeof(buf), "%.17g/%.17g;", estimate.value, estimate.variance);
+      out += buf;
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+// Answers `sql` over the level set `pinned`, scoping the answer cache (when
+// given) to that set the way the server does: the pin's generation plus its
+// snapshot fingerprint.
+Result<ApproxAnswer> QueryPinned(const LiveDb& live, const QueryRuntime& runtime,
+                                 const BlinkDB::PinnedLevels& pinned,
+                                 std::string_view sql, AnswerCache* cache,
+                                 ProgressCallback progress = {}) {
+  auto stmt = ParseSelect(sql);
+  if (!stmt.ok()) {
+    return stmt.status();
+  }
+  auto tables = live.db.Resolve(*stmt);
+  if (!tables.ok()) {
+    return tables.status();
+  }
+  CacheContext cache_ctx;
+  if (cache != nullptr) {
+    cache_ctx.cache = cache;
+    cache_ctx.table_generation = pinned.generation;
+    cache_ctx.snapshot_fingerprint = pinned.fingerprint;
+  }
+  return runtime.Execute(*stmt, tables->fact->name, tables->fact->table,
+                         tables->fact->scale_factor, pinned.levels, /*dim=*/nullptr,
+                         std::move(progress), /*cancel=*/nullptr, cache_ctx);
+}
+
+// The leveled cache contract: entries are final-only and scoped to one pinned
+// level set. A repeat hits with zero blocks; a tighter bound misses (a leveled
+// entry never resumes) and lands on the cache-free bits; a new append misses.
+TEST(LeveledCacheTest, HitsOnlyTheSamePinnedSetAndNeverResumes) {
+  LiveDb live(ExactRunsOptions(), /*exec_threads=*/1);
+  Rng rng(4'242);
+  ASSERT_TRUE(live.db.Append("t", MakeArrivalBatch(rng, 600)).ok());
+  const QueryRuntime runtime(&live.db.samples(), &live.db.cluster(),
+                             LiveDb::MakeOptions(/*exec_threads=*/1).runtime);
+  AnswerCache cache(16);
+  constexpr const char* kCoarse =
+      "SELECT AVG(v) FROM t WHERE a < 8 ERROR WITHIN 5% AT CONFIDENCE 95%";
+  constexpr const char* kTight =
+      "SELECT AVG(v) FROM t WHERE a < 8 ERROR WITHIN 1.5% AT CONFIDENCE 95%";
+
+  const auto pinned = live.db.PinLevels("t");
+  ASSERT_TRUE(pinned.has_value());
+  ASSERT_EQ(pinned->levels.size(), 1u);
+
+  // (a) The same bounded query twice on one pinned set: the second is a hit.
+  auto cold = QueryPinned(live, runtime, *pinned, kCoarse, &cache);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->report.cache, "miss");
+  EXPECT_EQ(cold->report.family, "leveled");
+  ASSERT_GT(cold->report.blocks_consumed, 0u);
+  ASSERT_TRUE(cold->report.stopped_early)
+      << "the coarse bound must stop early for the tighter re-ask to have work left";
+  ASSERT_GT(cold->report.achieved_error, 0.015);
+  auto hit = QueryPinned(live, runtime, *pinned, kCoarse, &cache);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit->report.cache, "hit");
+  EXPECT_EQ(hit->report.family, "leveled");
+  EXPECT_EQ(hit->report.blocks_consumed, 0u);
+  EXPECT_EQ(hit->report.rows_read, 0u);
+  EXPECT_EQ(Render(hit->result), Render(cold->result));
+
+  // (b) A tighter bound on the same set: a miss — never a resume — and the
+  // same bits and blocks as a run with no cache at all.
+  auto tight = QueryPinned(live, runtime, *pinned, kTight, &cache);
+  ASSERT_TRUE(tight.ok()) << tight.status().ToString();
+  EXPECT_EQ(tight->report.cache, "miss");
+  auto uncached = QueryPinned(live, runtime, *pinned, kTight, /*cache=*/nullptr);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  EXPECT_EQ(uncached->report.cache, "");
+  EXPECT_EQ(Render(tight->result), Render(uncached->result));
+  EXPECT_EQ(tight->report.blocks_consumed, uncached->report.blocks_consumed);
+  EXPECT_GT(tight->report.blocks_consumed, cold->report.blocks_consumed);
+  EXPECT_EQ(cache.stats().resumes, 0u);
+
+  // (d) A progress callback on a hit sees exactly one call: the final batch.
+  std::vector<StreamProgress> seen;
+  auto observed = QueryPinned(
+      live, runtime, *pinned, kCoarse, &cache,
+      [&seen](const QueryResult&, const StreamProgress& p) { seen.push_back(p); });
+  ASSERT_TRUE(observed.ok()) << observed.status().ToString();
+  EXPECT_EQ(observed->report.cache, "hit");
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_TRUE(seen[0].final_batch);
+  EXPECT_EQ(seen[0].cache, "hit");
+  EXPECT_EQ(seen[0].blocks_consumed, 0u);
+
+  // (c) Another append publishes a new level set: the same query misses.
+  ASSERT_TRUE(live.db.Append("t", MakeArrivalBatch(rng, 600)).ok());
+  const auto repinned = live.db.PinLevels("t");
+  ASSERT_TRUE(repinned.has_value());
+  auto after_append = QueryPinned(live, runtime, *repinned, kCoarse, &cache);
+  ASSERT_TRUE(after_append.ok()) << after_append.status().ToString();
+  EXPECT_EQ(after_append->report.cache, "miss");
+  EXPECT_GT(after_append->report.blocks_consumed, 0u);
 }
 
 }  // namespace

@@ -260,12 +260,12 @@ TEST(MaintenanceTest, StaleLevelSetsNeverShareCacheKeys) {
 
   auto stmt = ParseSelect("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(stmt.ok());
-  // The key the server's leveled path builds: statement shape + catalog
-  // generation, with the pinned snapshot's fingerprint as the suffix.
+  // The key the server builds for a live table: statement shape + catalog
+  // generation + the pinned snapshot's fingerprint.
   const auto key_for = [&](const BlinkDB::PinnedLevels& pinned) {
     return AnswerCacheKey(*stmt, pinned.generation, /*morsel_rows=*/512,
-                          /*compressed_scan=*/true, /*filter_encoded_views=*/true) +
-           "|" + pinned.fingerprint;
+                          /*compressed_scan=*/true, /*filter_encoded_views=*/true,
+                          pinned.fingerprint);
   };
 
   const auto before = db.PinLevels("t");

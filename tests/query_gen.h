@@ -96,10 +96,35 @@ inline std::string RandomPredicate(Rng& rng, uint64_t max_disjuncts) {
   return sql;
 }
 
+// 2 to `max_disjuncts` disjuncts that split u into equal ranges, each AND
+// 0-1 random leaves: no row satisfies two of them, so the §4.1.2 union plan
+// takes them (it only unions provably disjoint disjuncts).
+inline std::string RandomDisjointPredicate(Rng& rng, uint64_t max_disjuncts) {
+  const uint64_t disjuncts = 2 + rng.NextBounded(max_disjuncts - 1);
+  std::string sql;
+  for (uint64_t d = 0; d < disjuncts; ++d) {
+    char range[64];
+    std::snprintf(range, sizeof(range), "u >= %.4f AND u < %.4f",
+                  static_cast<double>(d) / static_cast<double>(disjuncts),
+                  static_cast<double>(d + 1) / static_cast<double>(disjuncts));
+    if (d > 0) {
+      sql += " OR ";
+    }
+    sql += "(" + std::string(range);
+    if (rng.NextBernoulli(0.5)) {
+      sql += " AND " + RandomLeaf(rng);
+    }
+    sql += ")";
+  }
+  return sql;
+}
+
 // A full SELECT over MakeFact()'s schema spanning the planner's surface:
 // optional GROUP BY, 1-3 aggregates (COUNT / SUM / AVG, plus MEDIAN when
-// `allow_quantile`), and a random WHERE of up to 4 disjuncts.
-inline std::string RandomQuery(Rng& rng, bool allow_quantile) {
+// `allow_quantile`), and a random WHERE of up to 4 disjuncts — with
+// `mix_disjoint`, half the time provably disjoint ones, so union plans stay
+// common among the generated queries.
+inline std::string RandomQuery(Rng& rng, bool allow_quantile, bool mix_disjoint = false) {
   static const char* aggs[] = {"COUNT(*)", "SUM(v)", "AVG(v)", "MEDIAN(v)"};
   static const char* groups[] = {"", "s", "a"};
   const std::string group = groups[rng.NextBounded(3)];
@@ -114,7 +139,9 @@ inline std::string RandomQuery(Rng& rng, bool allow_quantile) {
     }
     sql += aggs[rng.NextBounded(allow_quantile ? 4 : 3)];
   }
-  sql += " FROM t WHERE " + RandomPredicate(rng, 4);
+  const bool disjoint = mix_disjoint && rng.NextBernoulli(0.5);
+  sql += " FROM t WHERE " +
+         (disjoint ? RandomDisjointPredicate(rng, 4) : RandomPredicate(rng, 4));
   if (!group.empty()) {
     sql += " GROUP BY " + group;
   }

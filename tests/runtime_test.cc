@@ -105,6 +105,31 @@ TEST(DnfTest, ExplosionCapped) {
   EXPECT_FALSE(ToDnf(*stmt->where, 16).has_value());
 }
 
+bool Disjoint(const char* where_a, const char* where_b) {
+  auto a = ParseSelect(std::string("SELECT COUNT(*) FROM t WHERE ") + where_a);
+  auto b = ParseSelect(std::string("SELECT COUNT(*) FROM t WHERE ") + where_b);
+  EXPECT_TRUE(a.ok() && b.ok());
+  return DisjunctsDisjoint(*a->where, *b->where) && DisjunctsDisjoint(*b->where, *a->where);
+}
+
+TEST(DnfTest, DisjointnessNeedsAColumnWhoseRangesCannotMeet) {
+  EXPECT_TRUE(Disjoint("a = 1", "a = 2"));
+  EXPECT_TRUE(Disjoint("s = 'x'", "s = 'y'"));
+  EXPECT_TRUE(Disjoint("u < 0.35", "u > 0.65"));
+  EXPECT_TRUE(Disjoint("k <= 2", "k = 7"));
+  EXPECT_TRUE(Disjoint("u < 0.5", "u >= 0.5"));
+  EXPECT_TRUE(Disjoint("s = 's_3' AND a >= 2", "a < 2"));
+  EXPECT_TRUE(Disjoint("a = 1 AND b = 3", "a = 2 AND b = 3"));
+  EXPECT_TRUE(Disjoint("a > 1 AND a < 1", "b = 3"));  // the left side is empty
+
+  EXPECT_FALSE(Disjoint("s = 's_3'", "a < 2"));  // different columns
+  EXPECT_FALSE(Disjoint("u <= 0.5", "u >= 0.5"));
+  EXPECT_FALSE(Disjoint("g = 'drama' AND c = 'city_1'", "g = 'drama'"));
+  EXPECT_FALSE(Disjoint("a = 1", "a = 1"));
+  EXPECT_FALSE(Disjoint("a != 1", "a = 1"));  // != is not tracked: may overlap
+  EXPECT_FALSE(Disjoint("a = 1 OR a = 2", "a = 3"));  // not a conjunction
+}
+
 TEST(RuntimeTest, CoveringFamilyChosenForStratifiedColumn) {
   Fixture fx;
   const auto answer =
@@ -214,7 +239,7 @@ TEST(RuntimeTest, StreamedPartialFramesAgreeWithProgressBytes) {
     };
     auto answer =
         fx.Runtime(config).Execute(*stmt, "sessions", fx.fact, fx.scale,
-                                   nullptr, progress);
+                                   /*levels=*/{}, nullptr, progress);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
     EXPECT_GT(frames, 1) << "compressed=" << compressed;
   }

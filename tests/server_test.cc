@@ -460,6 +460,28 @@ TEST(AdmissionControllerTest, QueuePressureWidensBoundsThenRejects) {
   EXPECT_EQ(stats.deadline_shed, 0u);
 }
 
+// A worker counts as free from construction on, not from the moment its
+// thread first reaches the queue: with no waiting room, a ticket submitted
+// right after start-up runs instead of being bounced while every worker is
+// idle.
+TEST(AdmissionControllerTest, SubmitRightAfterConstructionIsAdmitted) {
+  ServedFixture& fx = ServedFixture::Get();
+  AdmissionOptions options;
+  options.queue_depth = 0;
+  auto ignore_shed = [](const char*, const std::string&) {};
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    AdmissionController admission(&fx.db.samples(), &fx.db.cluster(), ServedConfig(),
+                                  /*workers=*/1, options);
+    std::promise<void> ran;
+    ASSERT_TRUE(admission.Submit(
+        1, [&ran](const QueryRuntime&, const Decision&) { ran.set_value(); },
+        ignore_shed))
+        << "attempt " << attempt << ": bounced with the only worker idle";
+    ran.get_future().wait();
+    EXPECT_EQ(admission.stats().rejected, 0u);
+  }
+}
+
 // A ticket that outwaits the deadline is shed at pop time with
 // DEADLINE_EXCEEDED — its work callback never runs.
 TEST(AdmissionControllerTest, DeadlineShedsStaleTicketsAtPop) {
@@ -778,8 +800,9 @@ TEST(ServerTest, QueueFullDrawsBusy) {
   second.sql = kGroupedSql;
   ASSERT_TRUE(client.SendRaw(EncodeQuery(first)).ok());
   ASSERT_TRUE(client.SendRaw(EncodeQuery(second)).ok());
-  // Drain frames until both queries reached a terminal state; the loop
-  // always terminates because every accepted query ends in FINAL or ERROR.
+  // Drain frames until both queries reached a terminal state, tracked by
+  // frame id; the loop always terminates because every query ends in exactly
+  // one FINAL or ERROR, whichever of the two was bounced.
   bool saw_busy = false;
   bool first_done = false;
   bool second_done = false;
@@ -792,7 +815,7 @@ TEST(ServerTest, QueueFullDrawsBusy) {
       ASSERT_TRUE(error.has_id);
       EXPECT_EQ(error.id, second.id);
       saw_busy = true;
-      second_done = true;
+      (error.id == first.id ? first_done : second_done) = true;
     } else if (frame->type == FrameType::kFinal) {
       const FinalFrame& final_frame = std::get<FinalFrame>(frame->payload);
       if (final_frame.id == first.id) {
